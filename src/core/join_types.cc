@@ -26,4 +26,16 @@ const char* JoinAlgorithmName(JoinAlgorithm algorithm) {
   return "?";
 }
 
+Status AppendMessageRows(const std::vector<Message>& messages,
+                         uint32_t key_bytes, TupleBlock* block) {
+  uint64_t bytes = 0;
+  for (const Message& msg : messages) bytes += msg.data.size();
+  block->Reserve(block->size() + bytes / block->RowBytes(key_bytes));
+  for (const Message& msg : messages) {
+    ByteReader reader(msg.data);
+    TJ_RETURN_IF_ERROR(block->TryDeserializeRows(&reader, key_bytes));
+  }
+  return Status::OK();
+}
+
 }  // namespace tj

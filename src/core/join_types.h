@@ -11,6 +11,7 @@
 #include "common/status.h"
 #include "net/failure.h"
 #include "net/fault_injector.h"
+#include "net/message.h"
 #include "net/traffic.h"
 #include "obs/blame.h"
 #include "obs/step_profile.h"
@@ -147,6 +148,13 @@ struct JoinConfig {
   /// Location-message size M in bytes, as used by the per-key scheduler.
   uint64_t MsgBytes() const { return key_bytes + node_bytes; }
 };
+
+/// Appends every message's rows to `block`, reserving once for their total
+/// first: TupleBlock appends grow capacity geometrically, so a multi-message
+/// drain that knows its total stays exact instead of over-allocating.
+/// A message that is not a whole number of rows returns Status::Corruption.
+Status AppendMessageRows(const std::vector<Message>& messages,
+                         uint32_t key_bytes, TupleBlock* block);
 
 /// Guard shared by the streaming and pipelined drivers: both chunk their
 /// wire streams at entry boundaries, which only the plain fixed-width

@@ -242,11 +242,9 @@ Result<JoinResult> TryRunRidHashJoin(const PartitionedTable& r,
       selected.AppendFrom(exec_table.node(node), row);
     }
     SortBlockByKey(&selected, config.thread_pool);
-    for (const auto& msg : fabric.TakeInbox(node, moving_data_type)) {
-      ByteReader reader(msg.data);
-      TJ_RETURN_IF_ERROR(
-          moving_in[node].TryDeserializeRows(&reader, config.key_bytes));
-    }
+    TJ_RETURN_IF_ERROR(
+        AppendMessageRows(fabric.TakeInbox(node, moving_data_type),
+                          config.key_bytes, &moving_in[node]));
     SortBlockByKey(&moving_in[node], config.thread_pool);
     // Keep (key, payloadR, payloadS) orientation for the checksum.
     const TupleBlock& r_side = exec_on_r ? selected : moving_in[node];

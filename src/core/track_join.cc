@@ -357,12 +357,8 @@ Result<JoinResult> TryRunTrackJoin(const PartitionedTable& r,
     auto drain = [&](MessageType type, TupleBlock* block,
                      bool* changed) -> Status {
       auto msgs = fabric.TakeInbox(node, type);
-      for (const auto& msg : msgs) {
-        ByteReader reader(msg.data);
-        TJ_RETURN_IF_ERROR(
-            block->TryDeserializeRows(&reader, config.key_bytes));
-        if (changed != nullptr) *changed = true;
-      }
+      TJ_RETURN_IF_ERROR(AppendMessageRows(msgs, config.key_bytes, block));
+      if (changed != nullptr && !msgs.empty()) *changed = true;
       for (auto& msg : msgs) st.pool.Recycle(std::move(msg.data));
       return Status::OK();
     };

@@ -66,7 +66,14 @@ Status TupleBlock::TryDeserializeRows(ByteReader* in, uint32_t key_bytes) {
     return Status::Corruption("tuple payload not a multiple of row size");
   }
   uint64_t rows = in->remaining() / row_bytes;
-  Reserve(size() + rows);
+  // Geometric growth: an exact Reserve(size() + rows) would defeat
+  // std::vector's doubling and copy the whole block on every chunk, making
+  // chunk-at-a-time appends quadratic. Bulk drains that know their total
+  // reserve it once beforehand, so this never over-grows them.
+  const uint64_t need = size() + rows;
+  if (need > keys_.capacity()) {
+    Reserve(std::max<uint64_t>(need, 2 * keys_.capacity()));
+  }
   for (uint64_t i = 0; i < rows; ++i) {
     uint64_t key = in->GetUint(key_bytes);
     keys_.push_back(key);
@@ -77,6 +84,31 @@ Status TupleBlock::TryDeserializeRows(ByteReader* in, uint32_t key_bytes) {
     }
   }
   return Status::OK();
+}
+
+std::pair<uint64_t, uint64_t> GallopingProbe::EqualRange(uint64_t key) {
+  const std::vector<uint64_t>& keys = block_->keys();
+  const uint64_t n = keys.size();
+  if (probed_ && key == last_key_) return {lo_, hi_};
+  // A descending key restarts from the front; an ascending one can only
+  // land past the previous key's rows.
+  const uint64_t base = (probed_ && key > last_key_) ? hi_ : 0;
+  // Gallop: double `step` until [from + step/2, from + step) holds the
+  // partition point of `less`, then binary-search inside that window.
+  auto gallop_lower = [&](uint64_t from, auto less) {
+    uint64_t step = 1;
+    while (from + step <= n && less(keys[from + step - 1])) step *= 2;
+    const uint64_t begin = from + step / 2;
+    const uint64_t end = std::min(n, from + step);
+    return static_cast<uint64_t>(
+        std::partition_point(keys.begin() + begin, keys.begin() + end, less) -
+        keys.begin());
+  };
+  lo_ = gallop_lower(base, [key](uint64_t k) { return k < key; });
+  hi_ = gallop_lower(lo_, [key](uint64_t k) { return k <= key; });
+  last_key_ = key;
+  probed_ = true;
+  return {lo_, hi_};
 }
 
 void TupleBlock::Permute(const std::vector<uint32_t>& perm, ThreadPool* pool) {

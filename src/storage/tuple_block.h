@@ -98,7 +98,10 @@ class TupleBlock {
   void DeserializeRows(ByteReader* in, uint32_t key_bytes);
 
   /// Bounds-checked variant: input whose size is not a whole number of rows
-  /// returns Status::Corruption (and appends nothing).
+  /// returns Status::Corruption (and appends nothing). Capacity grows
+  /// geometrically (to max(needed, 2 * capacity)), so appending a stream
+  /// chunk by chunk stays amortized linear; callers that drain several
+  /// messages at once should Reserve their exact total first.
   Status TryDeserializeRows(ByteReader* in, uint32_t key_bytes);
 
   /// Drops all rows, keeping capacity.
@@ -122,6 +125,27 @@ class TupleBlock {
   uint32_t payload_width_;
   std::vector<uint64_t> keys_;
   std::vector<uint8_t> payloads_;
+};
+
+/// EqualRange over a key-sorted block for a sequence of probe keys that
+/// mostly ascend (the rows of one wire chunk). Each probe gallops forward
+/// from the previous hit, so a run of m ascending probes over n rows costs
+/// O(m log(n/m)) instead of m full binary searches. A key below the
+/// previous one restarts the search from the front, so any probe order
+/// returns exactly TupleBlock::EqualRange's result. The block must stay
+/// unmodified while the probe is in use.
+class GallopingProbe {
+ public:
+  explicit GallopingProbe(const TupleBlock& block) : block_(&block) {}
+
+  std::pair<uint64_t, uint64_t> EqualRange(uint64_t key);
+
+ private:
+  const TupleBlock* block_;
+  bool probed_ = false;
+  uint64_t last_key_ = 0;
+  uint64_t lo_ = 0;
+  uint64_t hi_ = 0;
 };
 
 }  // namespace tj

@@ -8,10 +8,11 @@
 
 #include <gtest/gtest.h>
 
-#include <vector>
-
+#include <algorithm>
 #include <cmath>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/schedule.h"
 #include "core/track_join.h"
@@ -215,6 +216,77 @@ TEST(PipelinedTrackJoinTest, MaterializedOutputMatchesCardinalityAndDigest) {
               barrier->output->node(node).size())
         << "node " << node;
   }
+  EXPECT_TRUE(pipelined->checksum == barrier->checksum);
+}
+
+// One node's materialized output rows as a sorted multiset of
+// (key, payload bytes).
+std::vector<std::pair<uint64_t, std::string>> SortedRows(
+    const TupleBlock& block) {
+  std::vector<std::pair<uint64_t, std::string>> rows;
+  for (uint64_t row = 0; row < block.size(); ++row) {
+    const char* payload = reinterpret_cast<const char*>(block.Payload(row));
+    rows.emplace_back(block.Key(row),
+                      payload == nullptr
+                          ? std::string()
+                          : std::string(payload, block.payload_width()));
+  }
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+TEST(PipelinedTrackJoinTest, MaterializedRowsMatchBarrierWithMigrationsAndSplits) {
+  // Skewed repeats with balancing and hot-key splitting: the joiners pair
+  // home, broadcast, migrated and fragment rows through their key indexes.
+  // Each node's output must be exactly the barrier driver's rows, as a
+  // sorted multiset.
+  WorkloadSpec spec;
+  spec.num_nodes = 4;
+  spec.matched_keys = 600;
+  spec.r_multiplicity = 6;
+  spec.s_multiplicity = 12;
+  spec.r_pattern = {3, 2, 1};
+  spec.s_pattern = {6, 4, 2};
+  spec.r_unmatched = 200;
+  spec.s_unmatched = 300;
+  spec.r_payload = 3;
+  spec.s_payload = 5;
+  Workload w = GenerateWorkload(spec);
+  JoinConfig config = BaseConfig();
+  config.balance_loads = true;
+  config.hot_key_threshold = 36;
+  config.hot_key_max_split = 3;
+  config.materialize = true;
+  config.pipeline.chunk_bytes = 256;  // Many chunks per stream.
+  Result<JoinResult> barrier =
+      TryRunTrackJoin(w.r, w.s, config, TrackJoinVersion::k4Phase);
+  Result<JoinResult> pipelined =
+      TryRunPipelinedTrackJoin(w.r, w.s, config, TrackJoinVersion::k4Phase);
+  ASSERT_TRUE(barrier.ok()) << barrier.status().ToString();
+  ASSERT_TRUE(pipelined.ok()) << pipelined.status().ToString();
+  // The workload must exercise every joiner path.
+  EXPECT_GT(pipelined->traffic.NetworkBytes(MessageType::kMigrationDataR) +
+                pipelined->traffic.NetworkBytes(MessageType::kMigrationDataS),
+            0u);
+  EXPECT_GT(pipelined->traffic.NetworkBytes(MessageType::kFragmentR) +
+                pipelined->traffic.NetworkBytes(MessageType::kFragmentS),
+            0u);
+  EXPECT_GT(pipelined->traffic.NetworkBytes(MessageType::kDataR) +
+                pipelined->traffic.NetworkBytes(MessageType::kDataS),
+            0u);
+  ASSERT_TRUE(pipelined->output.has_value());
+  ASSERT_TRUE(barrier->output.has_value());
+  ASSERT_EQ(pipelined->output->num_nodes(), barrier->output->num_nodes());
+  uint64_t total = 0;
+  for (uint32_t node = 0; node < barrier->output->num_nodes(); ++node) {
+    const TupleBlock& got = pipelined->output->node(node);
+    EXPECT_EQ(got.payload_width(), 8u);
+    EXPECT_EQ(SortedRows(got), SortedRows(barrier->output->node(node)))
+        << "node " << node;
+    total += got.size();
+  }
+  EXPECT_EQ(total, w.expected_output_rows);
+  EXPECT_EQ(pipelined->output_rows, barrier->output_rows);
   EXPECT_TRUE(pipelined->checksum == barrier->checksum);
 }
 

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
+#include <vector>
+
+#include "common/rng.h"
 
 namespace tj {
 namespace {
@@ -116,6 +121,128 @@ TEST(TupleBlockTest, ClearKeepsWidth) {
 TEST(TupleBlockTest, RowBytes) {
   TupleBlock block(12);
   EXPECT_EQ(block.RowBytes(4), 16u);
+}
+
+TEST(TupleBlockTest, ChunkedAppendsGrowGeometrically) {
+  // Appending a stream one row per chunk must not copy the whole block on
+  // every chunk: capacity may change only O(log n) times, and the rows come
+  // out identical to one bulk append of the same bytes.
+  constexpr uint64_t kRows = 10000;
+  constexpr uint32_t kKeyBytes = 4;
+  TupleBlock source(3);
+  for (uint64_t row = 0; row < kRows; ++row) {
+    const uint8_t payload[3] = {static_cast<uint8_t>(row),
+                                static_cast<uint8_t>(row >> 8),
+                                static_cast<uint8_t>(row * 7)};
+    source.Append(row * 31 % 65536, payload);
+  }
+  TupleBlock chunked(3);
+  uint64_t capacity_changes = 0;
+  uint64_t last_capacity = chunked.keys().capacity();
+  for (uint64_t row = 0; row < kRows; ++row) {
+    ByteBuffer chunk;
+    source.SerializeRows(row, row + 1, kKeyBytes, &chunk);
+    ByteReader reader(chunk);
+    ASSERT_TRUE(chunked.TryDeserializeRows(&reader, kKeyBytes).ok());
+    if (chunked.keys().capacity() != last_capacity) {
+      ++capacity_changes;
+      last_capacity = chunked.keys().capacity();
+    }
+  }
+  EXPECT_LE(capacity_changes,
+            static_cast<uint64_t>(2 * std::ceil(std::log2(kRows))));
+
+  ByteBuffer all;
+  source.SerializeRows(0, kRows, kKeyBytes, &all);
+  TupleBlock bulk(3);
+  ByteReader reader(all);
+  ASSERT_TRUE(bulk.TryDeserializeRows(&reader, kKeyBytes).ok());
+  ASSERT_EQ(chunked.size(), kRows);
+  EXPECT_EQ(chunked.keys(), bulk.keys());
+  EXPECT_EQ(0, std::memcmp(chunked.Payload(0), bulk.Payload(0), kRows * 3));
+  // A single bulk append into an empty block reserves exactly.
+  EXPECT_EQ(bulk.keys().capacity(), kRows);
+}
+
+TEST(TupleBlockTest, CorruptAppendLeavesBlockUntouched) {
+  TupleBlock block = MakeBlock({1, 2, 3}, 2);
+  const uint64_t capacity = block.keys().capacity();
+  ByteBuffer bad;
+  ByteWriter writer(&bad);
+  for (int i = 0; i < 7; ++i) writer.PutUint(i, 1);  // Row width is 6.
+  ByteReader reader(bad);
+  Status status = block.TryDeserializeRows(&reader, 4);
+  EXPECT_EQ(status.code(), StatusCode::kCorruption);
+  EXPECT_EQ(block.size(), 3u);
+  EXPECT_EQ(block.keys().capacity(), capacity);
+  EXPECT_EQ(block.Key(2), 3u);
+}
+
+// Checks every key of `probes`, through one GallopingProbe, against
+// EqualRange, in the given order.
+void ExpectProbeMatchesEqualRange(const TupleBlock& block,
+                                  const std::vector<uint64_t>& probes) {
+  GallopingProbe probe(block);
+  for (size_t i = 0; i < probes.size(); ++i) {
+    EXPECT_EQ(probe.EqualRange(probes[i]), block.EqualRange(probes[i]))
+        << "probe " << i << " key " << probes[i];
+  }
+}
+
+TEST(TupleBlockTest, GallopingProbeMatchesEqualRange) {
+  Rng rng(12);
+  for (uint64_t rows : {0u, 1u, 2u, 7u, 64u, 1000u}) {
+    for (uint64_t universe : {3u, 50u, 5000u}) {
+      std::vector<uint64_t> keys;
+      for (uint64_t i = 0; i < rows; ++i) {
+        keys.push_back(1 + rng.Below(universe));  // Key 0 is always absent.
+      }
+      std::sort(keys.begin(), keys.end());
+      const TupleBlock block = MakeBlock(keys, 1);
+
+      // Ascending with repeats, absent keys and keys past the end.
+      std::vector<uint64_t> ascending;
+      for (uint64_t i = 0; i < 200; ++i) {
+        ascending.push_back(rng.Below(universe + 10));
+      }
+      std::sort(ascending.begin(), ascending.end());
+      ExpectProbeMatchesEqualRange(block, ascending);
+
+      // Descending: every probe restarts the search.
+      std::vector<uint64_t> descending(ascending.rbegin(), ascending.rend());
+      ExpectProbeMatchesEqualRange(block, descending);
+
+      // Arbitrary order: ascending runs broken by random drops.
+      std::vector<uint64_t> mixed;
+      for (uint64_t i = 0; i < 200; ++i) {
+        mixed.push_back(rng.Below(universe + 10));
+      }
+      ExpectProbeMatchesEqualRange(block, mixed);
+
+      // Every present key in order, each probed twice in a row.
+      std::vector<uint64_t> present;
+      for (uint64_t k : keys) {
+        if (present.empty() || present.back() != k) {
+          present.push_back(k);
+          present.push_back(k);
+        }
+      }
+      ExpectProbeMatchesEqualRange(block, present);
+    }
+  }
+}
+
+TEST(TupleBlockTest, GallopingProbeRestartsOnDescendingKey) {
+  const TupleBlock block = MakeBlock({2, 4, 4, 4, 9, 9, 15, 20}, 1);
+  GallopingProbe probe(block);
+  EXPECT_EQ(probe.EqualRange(15), std::make_pair(uint64_t{6}, uint64_t{7}));
+  EXPECT_EQ(probe.EqualRange(25), std::make_pair(uint64_t{8}, uint64_t{8}));
+  // Lower than the previous key: must still find all three rows of 4.
+  EXPECT_EQ(probe.EqualRange(4), std::make_pair(uint64_t{1}, uint64_t{4}));
+  EXPECT_EQ(probe.EqualRange(4), std::make_pair(uint64_t{1}, uint64_t{4}));
+  EXPECT_EQ(probe.EqualRange(0), std::make_pair(uint64_t{0}, uint64_t{0}));
+  EXPECT_EQ(probe.EqualRange(9), std::make_pair(uint64_t{4}, uint64_t{6}));
+  EXPECT_EQ(probe.EqualRange(20), std::make_pair(uint64_t{7}, uint64_t{8}));
 }
 
 }  // namespace
