@@ -6,6 +6,13 @@ const char* DirectionName(Direction dir) {
   return dir == Direction::kRtoS ? "R->S" : "S->R";
 }
 
+const char* TrackJoinName(TrackJoinVersion version, Direction direction) {
+  if (version == TrackJoinVersion::k2Phase) {
+    return direction == Direction::kRtoS ? "2tj-r" : "2tj-s";
+  }
+  return version == TrackJoinVersion::k3Phase ? "3tj" : "4tj";
+}
+
 const char* JoinAlgorithmName(JoinAlgorithm algorithm) {
   switch (algorithm) {
     case JoinAlgorithm::kBroadcastR:

@@ -36,7 +36,11 @@ const char* DirectionName(Direction dir);
 /// barrier and pipelined drivers can name the variant without a header cycle.
 enum class TrackJoinVersion : uint8_t { k2Phase = 2, k3Phase = 3, k4Phase = 4 };
 
-/// Event-driven micro-batch execution knobs (the pipelined 3TJ/4TJ drivers;
+/// The variant's tool and profile name: "2tj-r", "2tj-s", "3tj" or "4tj"
+/// (`direction` only matters for the 2-phase version).
+const char* TrackJoinName(TrackJoinVersion version, Direction direction);
+
+/// Event-driven micro-batch execution knobs (the pipelined track-join driver;
 /// see core/pipelined_track_join.h and net/pipelined_fabric.h).
 struct PipelineConfig {
   /// Run the pipelined driver instead of the barrier driver.
@@ -128,10 +132,11 @@ struct JoinConfig {
 
   /// Modeled per-phase deadline in seconds (0 disables): a straggler whose
   /// modeled slowdown exceeds it is promoted to suspected-dead and the
-  /// phase fails with DeadlineExceeded. See Fabric::SetPhaseDeadline.
+  /// phase fails with DeadlineExceeded. See Fabric::SetPhaseDeadline and
+  /// PipelinedFabric::Params::phase_deadline_seconds.
   double phase_deadline_seconds = 0;
 
-  /// Event-driven micro-batch execution (pipelined 3TJ/4TJ). Off by
+  /// Event-driven micro-batch execution (pipelined track join). Off by
   /// default; tjsim's --pipeline flag enables it. Requires the plain wire
   /// format (delta_tracking / group_locations off), because micro-batch
   /// chunking relies on entry-aligned, context-free encodings.

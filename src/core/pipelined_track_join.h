@@ -1,4 +1,4 @@
-// Event-driven micro-batch track join (pipelined 3TJ/4TJ).
+// Event-driven micro-batch track join (pipelined 2TJ/3TJ/4TJ).
 //
 // The barrier driver (core/track_join.h) runs the paper's de-pipelined
 // phases; this driver runs the same algorithm as a dataflow over the
@@ -33,17 +33,20 @@
 
 namespace tj {
 
-/// Runs the pipelined track join (3- or 4-phase only; the 2-phase variant
-/// has no per-key scheduling worth pipelining). Requires the plain wire
-/// format (delta_tracking / group_locations off). The result carries
-/// makespan_seconds and barrier_makespan_seconds in addition to everything
-/// the barrier driver reports. `config.pipeline` supplies the chunk size,
-/// inbox budget and CPU bandwidth.
+/// Runs the pipelined track join, any version (`direction` is only used by
+/// the 2-phase version, whose tracking streams carry keys without counts).
+/// Requires the plain wire format (delta_tracking / group_locations off).
+/// The result carries makespan_seconds and barrier_makespan_seconds in
+/// addition to everything the barrier driver reports. `config.pipeline`
+/// supplies the chunk size, inbox budget and CPU bandwidth.
 ///
 /// Fault semantics mirror the barrier driver at chunk granularity: lost
 /// links and crashed nodes yield Status::DataLoss (a crashed node's
-/// streams never terminate), and a successful run under delivery faults
-/// produces the same output checksum as the pristine barrier run.
+/// streams never terminate), a straggler past
+/// config.phase_deadline_seconds yields Status::DeadlineExceeded, and a
+/// successful run under delivery faults produces the same output checksum
+/// as the pristine barrier run. config.diagnostics receives the failure
+/// report, so core/recovery.h replays these runs like barrier ones.
 Result<JoinResult> TryRunPipelinedTrackJoin(
     const PartitionedTable& r, const PartitionedTable& s,
     const JoinConfig& config, TrackJoinVersion version,

@@ -1,10 +1,11 @@
 // Query-level fault recovery: checkpointed replay with replica failover.
 //
-// The de-pipelined phase/barrier execution gives natural recovery points:
-// every barrier is a consistent cut, and because workloads are synthesized
-// deterministically and the fabric delivers deterministically, a failed
-// query can be replayed bit-exactly from its retained inputs — the
-// "checkpoint" is the inputs plus the phase log, not a serialized heap.
+// Replay is driver-agnostic: workloads are synthesized deterministically
+// and both fabrics (barrier and pipelined) deliver deterministically, so a
+// failed query can be replayed bit-exactly from its retained inputs — the
+// "checkpoint" is the inputs plus the attempt's phase log, not a
+// serialized heap. The runner only has to fill config.diagnostics with
+// the fabric's failure report on error, which every driver does.
 //
 // RecoveryManager drives the loop:
 //   * run the join (attempt 0 uses the caller's fault seed bit-exactly, so

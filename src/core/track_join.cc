@@ -394,11 +394,8 @@ Result<JoinResult> TryRunTrackJoin(const PartitionedTable& r,
   result.traffic = fabric.traffic();
   result.phase_seconds = fabric.phase_seconds();
   result.reliability = fabric.reliability();
-  const char* algo_name =
-      version == TrackJoinVersion::k2Phase
-          ? (direction == Direction::kRtoS ? "2tj-r" : "2tj-s")
-          : (version == TrackJoinVersion::k3Phase ? "3tj" : "4tj");
-  result.profile = BuildStepProfile(algo_name, fabric);
+  result.profile =
+      BuildStepProfile(TrackJoinName(version, direction), fabric);
   result.node_output_rows.reserve(n);
   for (const auto& st : nodes) {
     result.output_rows += st.output_rows;

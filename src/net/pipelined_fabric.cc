@@ -629,6 +629,20 @@ void PipelinedFabric::StartTransfer(uint64_t chunk_index, double wire_start) {
 Status PipelinedFabric::Run() {
   TJ_CHECK(!ran_) << "Run called twice";
   ran_ = true;
+  const FaultPolicy* policy = params_.fault_policy;
+  if (policy != nullptr && params_.phase_deadline_seconds > 0 &&
+      policy->models_straggler() && policy->slow_node < params_.num_nodes &&
+      !dead_[policy->slow_node] &&
+      policy->slowdown_seconds > params_.phase_deadline_seconds) {
+    // Deterministic, like the barrier fabric: the modeled slowdown alone
+    // decides, measured time never does.
+    failure_.suspected_nodes.push_back(policy->slow_node);
+    return Status::DeadlineExceeded(
+        "node " + std::to_string(policy->slow_node) + " straggled " +
+        std::to_string(policy->slowdown_seconds) + "s past the " +
+        std::to_string(params_.phase_deadline_seconds) +
+        "s phase deadline; promoted to suspected-dead");
+  }
   while (!events_.empty() && first_error_.ok()) {
     const Event event = events_.top();
     events_.pop();

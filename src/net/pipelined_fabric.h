@@ -40,8 +40,10 @@
 // lost or corrupt frames retry inline up to max_retries (occupying the NICs
 // and the retransmit ledger), an exhausted budget fails the run with
 // DataLoss, crash_node fail-stops from time zero, and slow_node starts its
-// CPU late by slowdown_seconds. With no active policy the wire path is
-// pristine and the traffic matrix is byte-identical to the barrier run.
+// CPU late by slowdown_seconds (or, past the phase deadline, is promoted to
+// suspected-dead up front, as the barrier fabric does at its first
+// barrier). With no active policy the wire path is pristine and the
+// traffic matrix is byte-identical to the barrier run.
 #ifndef TJ_NET_PIPELINED_FABRIC_H_
 #define TJ_NET_PIPELINED_FABRIC_H_
 
@@ -120,6 +122,9 @@ class PipelinedFabric {
     /// DRR byte quantum added per backlogged destination queue per top-up
     /// round (payload bytes). 0 means one chunk_bytes. Ignored under kFifo.
     uint64_t drr_quantum_bytes = 0;
+    /// Modeled deadline (0 = off): a straggler whose slowdown_seconds
+    /// exceeds it is promoted to suspected-dead and Run() fails.
+    double phase_deadline_seconds = 0;
   };
 
   using Task = std::function<Status()>;
@@ -155,8 +160,9 @@ class PipelinedFabric {
   /// task. The task's duration is total_charged / cpu_bandwidth.
   void ChargeCpuBytes(uint64_t bytes);
 
-  /// Drains the event loop. Returns the first task error, or DataLoss when
-  /// a link exhausted its retry budget (see failure()). A crashed node
+  /// Drains the event loop. Returns the first task error, DataLoss when a
+  /// link exhausted its retry budget, or DeadlineExceeded (before any task
+  /// runs) for a straggler past the deadline (see failure()). A crashed node
   /// does not fail Run() by itself — its streams simply never terminate,
   /// which the driver detects as missing EOS.
   Status Run();

@@ -65,30 +65,53 @@ void ExpectAuditsEqual(const ScheduleAuditLog& barrier,
 // byte-identical traffic (network, local and retransmit ledgers all
 // compared cell by cell), checksum, cardinalities and EXPLAIN audits.
 void ExpectPipelinedMatchesBarrier(const Workload& w, JoinConfig config,
-                                   TrackJoinVersion version) {
+                                   TrackJoinVersion version,
+                                   Direction direction = Direction::kRtoS) {
   ScheduleAuditLog barrier_audit, pipelined_audit;
   JoinConfig barrier_config = config;
   barrier_config.pipeline.enabled = false;
   barrier_config.schedule_audit = &barrier_audit;
   Result<JoinResult> barrier =
-      TryRunTrackJoin(w.r, w.s, barrier_config, version);
+      TryRunTrackJoin(w.r, w.s, barrier_config, version, direction);
   ASSERT_TRUE(barrier.ok()) << barrier.status().ToString();
 
   JoinConfig pipelined_config = config;
   pipelined_config.schedule_audit = &pipelined_audit;
-  Result<JoinResult> pipelined =
-      TryRunPipelinedTrackJoin(w.r, w.s, pipelined_config, version);
+  Result<JoinResult> pipelined = TryRunPipelinedTrackJoin(
+      w.r, w.s, pipelined_config, version, direction);
   ASSERT_TRUE(pipelined.ok()) << pipelined.status().ToString();
 
   EXPECT_EQ(pipelined->output_rows, barrier->output_rows);
   EXPECT_EQ(pipelined->output_rows, w.expected_output_rows);
   EXPECT_EQ(pipelined->node_output_rows, barrier->node_output_rows);
   EXPECT_TRUE(pipelined->checksum == barrier->checksum);
+  for (auto cls : {TrafficClass::kKeysAndCounts, TrafficClass::kKeysAndNodes,
+                   TrafficClass::kRTuples, TrafficClass::kSTuples}) {
+    EXPECT_EQ(pipelined->traffic.NetworkBytes(cls),
+              barrier->traffic.NetworkBytes(cls))
+        << TrafficClassName(cls);
+  }
   EXPECT_TRUE(pipelined->traffic == barrier->traffic)
       << "traffic matrices differ";
   ExpectAuditsEqual(barrier_audit, pipelined_audit);
   EXPECT_GT(pipelined->makespan_seconds, 0.0);
   EXPECT_GT(pipelined->barrier_makespan_seconds, 0.0);
+}
+
+// 2-phase tracking carries keys without counts and broadcasts in the fixed
+// direction; any chunk size re-slices the barrier driver's exact bytes.
+TEST(PipelinedTrackJoinTest, TwoPhaseByteIdenticalToBarrier) {
+  Workload w = SmallWorkload(5);
+  for (Direction direction : {Direction::kRtoS, Direction::kStoR}) {
+    for (uint64_t chunk : {uint64_t{64}, uint64_t{4096}, uint64_t{1} << 30}) {
+      SCOPED_TRACE(std::string(DirectionName(direction)) + " chunk=" +
+                   std::to_string(chunk));
+      JoinConfig config = BaseConfig();
+      config.pipeline.chunk_bytes = chunk;  // 1 GiB: one message per stream.
+      ExpectPipelinedMatchesBarrier(w, config, TrackJoinVersion::k2Phase,
+                                    direction);
+    }
+  }
 }
 
 TEST(PipelinedTrackJoinTest, ThreePhaseByteIdenticalToBarrier) {
@@ -312,11 +335,14 @@ TEST(PipelinedTrackJoinTest, EmptyInputsTerminate) {
   spec.num_nodes = 3;
   spec.matched_keys = 0;
   Workload w = GenerateWorkload(spec);
-  Result<JoinResult> pipelined =
-      TryRunPipelinedTrackJoin(w.r, w.s, BaseConfig(),
-                               TrackJoinVersion::k4Phase);
-  ASSERT_TRUE(pipelined.ok()) << pipelined.status().ToString();
-  EXPECT_EQ(pipelined->output_rows, 0u);
+  for (TrackJoinVersion version :
+       {TrackJoinVersion::k2Phase, TrackJoinVersion::k4Phase}) {
+    Result<JoinResult> pipelined =
+        TryRunPipelinedTrackJoin(w.r, w.s, BaseConfig(), version);
+    ASSERT_TRUE(pipelined.ok()) << pipelined.status().ToString();
+    EXPECT_EQ(pipelined->output_rows, 0u);
+    EXPECT_EQ(pipelined->traffic.TotalNetworkBytes(), 0u);
+  }
 }
 
 TEST(PipelinedTrackJoinTest, TinyChunksAndInboxBudgetStayByteIdentical) {
@@ -454,6 +480,13 @@ TEST(PipelinedTrackJoinTest, ProfileReportsPipelinedStages) {
   }
   EXPECT_EQ(names, (std::vector<std::string>{"source", "track", "schedule",
                                              "transfer", "join"}));
+  for (Direction direction : {Direction::kRtoS, Direction::kStoR}) {
+    Result<JoinResult> two_phase = TryRunPipelinedTrackJoin(
+        w.r, w.s, BaseConfig(), TrackJoinVersion::k2Phase, direction);
+    ASSERT_TRUE(two_phase.ok());
+    EXPECT_EQ(two_phase->profile.algorithm,
+              direction == Direction::kRtoS ? "2tj-r-p" : "2tj-s-p");
+  }
 }
 
 // The blame report's reconciliation contract: every (node, resource,
@@ -582,11 +615,8 @@ TEST(PipelinedTrackJoinTest, BlameMakespanSitsInsideCostModelBounds) {
   EXPECT_GT(makespan, 0.0);
 }
 
-TEST(PipelinedTrackJoinTest, RejectsTwoPhaseAndCompressedWireFormats) {
+TEST(PipelinedTrackJoinTest, RejectsCompressedWireFormats) {
   Workload w = SmallWorkload();
-  EXPECT_FALSE(TryRunPipelinedTrackJoin(w.r, w.s, BaseConfig(),
-                                        TrackJoinVersion::k2Phase)
-                   .ok());
   JoinConfig delta = BaseConfig();
   delta.delta_tracking = true;
   EXPECT_FALSE(

@@ -4,13 +4,15 @@
 // parameter, so failures reproduce exactly.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "baseline/broadcast_join.h"
 #include "baseline/hash_join.h"
 #include "common/rng.h"
 #include "core/late_hash_join.h"
+#include "core/pipelined_track_join.h"
 #include "core/recovery.h"
 #include "core/rid_hash_join.h"
-#include "core/streaming_track_join.h"
 #include "core/track_join.h"
 #include "exec/local_join.h"
 #include "workload/generator.h"
@@ -88,6 +90,9 @@ TEST_P(ChaosTest, EveryAlgorithmMatchesReference) {
 
     JoinConfig config;
     config.key_bytes = 4;
+    // Pipelined 2TJ at 128-byte chunks: many small messages per stream.
+    JoinConfig small_chunks = config;
+    small_chunks.pipeline.chunk_bytes = 128;
     auto check = [&](const char* name, const JoinResult& result) {
       EXPECT_EQ(result.output_rows, expected_rows)
           << name << " seed=" << GetParam() << " round=" << round;
@@ -101,8 +106,11 @@ TEST_P(ChaosTest, EveryAlgorithmMatchesReference) {
     check("2TJ-S", RunTrackJoin2(w.r, w.s, config, Direction::kStoR));
     check("3TJ", RunTrackJoin3(w.r, w.s, config));
     check("4TJ", RunTrackJoin4(w.r, w.s, config));
-    check("s2TJ",
-          RunStreamingTrackJoin2(w.r, w.s, config, Direction::kRtoS, 128));
+    Result<JoinResult> p2tj =
+        TryRunPipelinedTrackJoin(w.r, w.s, small_chunks,
+                                 TrackJoinVersion::k2Phase, Direction::kRtoS);
+    ASSERT_TRUE(p2tj.ok()) << p2tj.status().ToString();
+    check("p2TJ-R", *p2tj);
     check("rid-HJ", RunRidHashJoin(w.r, w.s, config));
     check("late-HJ", RunLateMaterializedHashJoin(w.r, w.s, config));
   }
@@ -141,6 +149,8 @@ TEST_P(FaultChaosTest, RecoverableFaultsLeaveResultsExact) {
     JoinConfig faulty = config;
     faulty.fault_policy = &policy;
     faulty.fault_seed = rng.Next();
+    JoinConfig faulty_small_chunks = faulty;
+    faulty_small_chunks.pipeline.chunk_bytes = 128;
 
     auto check = [&](const char* name, Result<JoinResult> run,
                      Result<JoinResult> clean) {
@@ -186,9 +196,13 @@ TEST_P(FaultChaosTest, RecoverableFaultsLeaveResultsExact) {
           TryRunTrackJoin(w.r, w.s, config, TrackJoinVersion::k3Phase));
     check("4TJ", TryRunTrackJoin(w.r, w.s, faulty, TrackJoinVersion::k4Phase),
           TryRunTrackJoin(w.r, w.s, config, TrackJoinVersion::k4Phase));
-    check("s2TJ",
-          TryRunStreamingTrackJoin2(w.r, w.s, faulty, Direction::kRtoS, 128),
-          TryRunStreamingTrackJoin2(w.r, w.s, config, Direction::kRtoS, 128));
+    // Pipelined 2TJ-R at 128-byte chunks against the barrier driver: under
+    // the all-zero policy its traffic must equal barrier 2TJ's exactly.
+    check("p2TJ-R",
+          TryRunPipelinedTrackJoin(w.r, w.s, faulty_small_chunks,
+                                   TrackJoinVersion::k2Phase, Direction::kRtoS),
+          TryRunTrackJoin(w.r, w.s, config, TrackJoinVersion::k2Phase,
+                          Direction::kRtoS));
     check("rid-HJ", TryRunRidHashJoin(w.r, w.s, faulty),
           TryRunRidHashJoin(w.r, w.s, config));
     check("late-HJ", TryRunLateMaterializedHashJoin(w.r, w.s, faulty),
@@ -200,12 +214,19 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FaultChaosTest, ::testing::Range(1, 9));
 
 // --- Recovery chaos --------------------------------------------------------
 
-/// The nine named algorithms as recovery runners, in tjsim's order.
+/// The nine named algorithms as recovery runners, in tjsim's order, then
+/// the track joins again on the pipelined driver (tjsim --pipeline).
 std::vector<std::pair<const char*, JoinRunner>> AllRunners() {
   auto tj = [](TrackJoinVersion version, Direction dir) {
     return [version, dir](const PartitionedTable& r, const PartitionedTable& s,
                           const JoinConfig& cfg) {
       return TryRunTrackJoin(r, s, cfg, version, dir);
+    };
+  };
+  auto pipelined = [](TrackJoinVersion version, Direction dir) {
+    return [version, dir](const PartitionedTable& r, const PartitionedTable& s,
+                          const JoinConfig& cfg) {
+      return TryRunPipelinedTrackJoin(r, s, cfg, version, dir);
     };
   };
   return {
@@ -234,6 +255,10 @@ std::vector<std::pair<const char*, JoinRunner>> AllRunners() {
           const JoinConfig& cfg) {
          return TryRunLateMaterializedHashJoin(r, s, cfg);
        }},
+      {"2tj-r-p", pipelined(TrackJoinVersion::k2Phase, Direction::kRtoS)},
+      {"2tj-s-p", pipelined(TrackJoinVersion::k2Phase, Direction::kStoR)},
+      {"3tj-p", pipelined(TrackJoinVersion::k3Phase, Direction::kRtoS)},
+      {"4tj-p", pipelined(TrackJoinVersion::k4Phase, Direction::kRtoS)},
   };
 }
 
@@ -303,6 +328,13 @@ TEST_P(RecoveryChaosTest, WithinBudgetSchedulesRecoverExactly) {
         // once the fault actually fires (crash_phase may sit past the
         // run's last phase, in which case attempt 1 simply succeeds).
         EXPECT_LE(report.failovers, 1u);
+        // The pipelined fabric fail-stops a crashed node from time zero and
+        // promotes a straggler before any task runs, so its fault always
+        // fires.
+        if (std::string(name).ends_with("-p")) {
+          EXPECT_EQ(report.failovers, 1u)
+              << name << " seed=" << GetParam() << " round=" << round;
+        }
         if (report.failovers == 1) {
           const uint32_t victim =
               shape == 0 ? policy.crash_node : policy.slow_node;

@@ -280,6 +280,35 @@ TEST(PipelinedFabricTest, SlowNodeStartsItsCpuLate) {
   EXPECT_DOUBLE_EQ(fabric.makespan_seconds(), 3.0);  // Straggler: 2 + 1.
 }
 
+// The phase deadline is modeled, like the barrier fabric's: a straggler
+// whose slowdown exceeds it is suspected dead before any task runs, and one
+// within it merely runs late.
+TEST(PipelinedFabricTest, StragglerPastDeadlineIsSuspectedDead) {
+  FaultPolicy policy;
+  policy.slow_node = 1;
+  policy.slowdown_seconds = 2.0;
+  for (double deadline : {1.0, 3.0}) {
+    SCOPED_TRACE("deadline=" + std::to_string(deadline));
+    PipelinedFabric::Params params = SmallParams(2);
+    params.fault_policy = &policy;
+    params.phase_deadline_seconds = deadline;
+    PipelinedFabric fabric(params);
+    bool ran = false;
+    fabric.Post(0, "work", "w", [&] {
+      ran = true;
+      return Status::OK();
+    });
+    const Status status = fabric.Run();
+    const bool past = policy.slowdown_seconds > deadline;
+    EXPECT_EQ(status.code(),
+              past ? StatusCode::kDeadlineExceeded : StatusCode::kOk);
+    EXPECT_EQ(ran, !past);
+    EXPECT_EQ(fabric.failure().suspected_nodes,
+              past ? std::vector<uint32_t>{1} : std::vector<uint32_t>{});
+    EXPECT_TRUE(fabric.failure().dead_nodes.empty());
+  }
+}
+
 TEST(PipelinedFabricTest, DropFaultsRetransmitAndAreCountedPerChunk) {
   FaultPolicy policy;
   policy.drop = 0.5;

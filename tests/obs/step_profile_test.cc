@@ -14,9 +14,9 @@
 #include "baseline/broadcast_join.h"
 #include "baseline/hash_join.h"
 #include "core/late_hash_join.h"
+#include "core/pipelined_track_join.h"
 #include "core/rid_hash_join.h"
 #include "core/semi_join.h"
-#include "core/streaming_track_join.h"
 #include "core/track_join.h"
 #include "net/fault_injector.h"
 #include "workload/generator.h"
@@ -101,8 +101,12 @@ TEST(StepProfileTest, PhaseSumsMatchRunTotalsForEveryAlgorithm) {
                          RunTrackJoin2(w.r, w.s, config, Direction::kStoR));
   CheckProfileMatchesRun("3tj", RunTrackJoin3(w.r, w.s, config));
   CheckProfileMatchesRun("4tj", RunTrackJoin4(w.r, w.s, config));
-  CheckProfileMatchesRun(
-      "stj-r", RunStreamingTrackJoin2(w.r, w.s, config, Direction::kRtoS, 64));
+  JoinConfig small_chunks = config;
+  small_chunks.pipeline.chunk_bytes = 64;
+  Result<JoinResult> pipelined = TryRunPipelinedTrackJoin(
+      w.r, w.s, small_chunks, TrackJoinVersion::k2Phase, Direction::kRtoS);
+  ASSERT_TRUE(pipelined.ok()) << pipelined.status().ToString();
+  CheckProfileMatchesRun("2tj-r-p", *pipelined);
   CheckProfileMatchesRun("rid-hj", RunRidHashJoin(w.r, w.s, config));
   CheckProfileMatchesRun("late-hj",
                          RunLateMaterializedHashJoin(w.r, w.s, config));

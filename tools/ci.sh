@@ -169,22 +169,27 @@ python3 tools/check_trace_schema.py trace "${pipeline_trace_tmp}" \
 
 # Makespan-blame smoke: the critical-path report must reconcile to the
 # microsecond (bucket sums == makespan_us), with valid wait classes and
-# resource attributions — and the pipelined driver must refuse the
-# recovery flags up front (exit 1) rather than silently ignoring them.
+# resource attributions, for every track join — and --pipeline composes
+# with recovery: a crash fails over with verified digests and a reconciled
+# EXPLAIN, and a straggler past the deadline is failed over as dead.
 echo "=== blame smoke: tjsim --pipeline --blame=json | check_trace_schema blame ==="
 "${smoke_dir}/tools/tjsim" --nodes=4 --keys=20000 --rmult=2 --smult=3 \
-    --algo=3tj,4tj --pipeline --blame=json \
+    --algo=2tj-r,2tj-s,3tj,4tj --pipeline --blame=json \
   | python3 tools/check_trace_schema.py blame
 "${smoke_dir}/tools/tjsim" --nodes=8 --keys=20000 --rmult=2 --smult=3 \
     --zipf=1.2 --hot-key-threshold=10000 --algo=4tj --pipeline \
     --fault-drop=0.02 --fault-retries=64 --blame=json \
   | python3 tools/check_trace_schema.py blame
-rc=0; "${smoke_dir}/tools/tjsim" --nodes=4 --keys=500 --pipeline \
-    --replicas=2 --algo=4tj >/dev/null 2>&1 || rc=$?
-if [[ "${rc}" -ne 1 ]]; then
-  echo "ci.sh: --pipeline with --replicas exited ${rc}, expected 1" >&2
-  exit 1
-fi
+out="$("${smoke_dir}/tools/tjsim" --nodes=4 --keys=500 --pipeline \
+    --replicas=2 --fault-crash-node=2 --algo=2tj-r,3tj,4tj)"
+grep -q 'all algorithms verified equal' <<<"${out}"
+"${smoke_dir}/tools/tjsim" --nodes=4 --keys=500 --pipeline --replicas=2 \
+    --fault-crash-node=2 --algo=2tj-r,3tj,4tj --explain=json \
+  | python3 tools/check_trace_schema.py explain
+out="$("${smoke_dir}/tools/tjsim" --nodes=4 --keys=500 --pipeline \
+    --replicas=2 --phase-deadline=0.01 --fault-slow-node=2 \
+    --fault-slow-seconds=0.5 --algo=4tj)"
+grep -qE 'failovers=1 retries=0 dead=\[2\]' <<<"${out}"
 rc=0; "${smoke_dir}/tools/tjsim" --nodes=4 --keys=500 --blame=json \
     --algo=4tj >/dev/null 2>&1 || rc=$?
 if [[ "${rc}" -ne 1 ]]; then

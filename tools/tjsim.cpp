@@ -16,6 +16,7 @@
 #include <cstring>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "baseline/broadcast_join.h"
@@ -110,11 +111,12 @@ execution:
   --delta              delta-compress tracking keys
   --group              node-group location messages
   --bandwidth=GBPS     NIC GB/s for the time model (default 0.093)
-  --pipeline           event-driven micro-batch execution for 3tj/4tj:
-                       tracking, scheduling and transfers overlap; reports
-                       modeled makespan vs the barrier sum-of-phases.
-                       Incompatible with --delta/--group (plain wire format
-                       required) and with the recovery flags.
+  --pipeline           event-driven micro-batch execution for the track
+                       joins: tracking, scheduling and transfers overlap;
+                       reports modeled makespan vs the barrier
+                       sum-of-phases. Composes with the fault and recovery
+                       flags; incompatible with --delta/--group (plain wire
+                       format required).
   --pipeline-chunk=B   micro-batch chunk payload bytes (default 4096)
   --inbox-budget=B     per-node inbox budget enforced by credit-based flow
                        control (default 32768)
@@ -135,6 +137,8 @@ fault injection (any nonzero flag frames messages and enables retry/ack):
   --fault-crash-node=N node that fail-stops (query fails with DataLoss
                        unless recovery is on)
   --fault-crash-phase=K  0-based global phase the crash takes effect
+                       (the pipelined fabric has no phases: with --pipeline
+                       the node fail-stops from time zero)
   --fault-slow-node=N  straggler node: phases run slower in modeled time
                        (pristine wire path; traffic is unchanged)
   --fault-slow-seconds=S  modeled extra seconds per phase for the straggler
@@ -436,13 +440,6 @@ Options Parse(int argc, char** argv) {
                  "and --group\n");
     std::exit(1);
   }
-  if (opt.pipeline && (opt.replicas > 1 || opt.recovery_attempts > 0 ||
-                       opt.phase_deadline > 0)) {
-    std::fprintf(stderr,
-                 "--pipeline does not compose with the recovery flags "
-                 "(--replicas/--recovery-attempts/--phase-deadline)\n");
-    std::exit(1);
-  }
   if (!opt.egress_sched.empty() && !opt.pipeline) {
     std::fprintf(stderr,
                  "--egress-sched selects the pipelined fabric's NIC "
@@ -458,10 +455,26 @@ Options Parse(int argc, char** argv) {
   if (!opt.blame.empty() && !opt.pipeline) {
     std::fprintf(stderr,
                  "--blame decomposes the pipelined makespan; add --pipeline "
-                 "(and a pipelined algorithm: 3tj or 4tj)\n");
+                 "(and a track join: 2tj-r, 2tj-s, 3tj or 4tj)\n");
     std::exit(1);
   }
   return opt;
+}
+
+/// The track-join variant `name` selects, if it names one.
+std::optional<std::pair<tj::TrackJoinVersion, tj::Direction>> TrackJoinByName(
+    const std::string& name) {
+  for (tj::TrackJoinVersion version :
+       {tj::TrackJoinVersion::k2Phase, tj::TrackJoinVersion::k3Phase,
+        tj::TrackJoinVersion::k4Phase}) {
+    for (tj::Direction direction :
+         {tj::Direction::kRtoS, tj::Direction::kStoR}) {
+      if (name == tj::TrackJoinName(version, direction)) {
+        return std::make_pair(version, direction);
+      }
+    }
+  }
+  return std::nullopt;
 }
 
 tj::Result<tj::JoinResult> RunByName(const std::string& name,
@@ -470,6 +483,12 @@ tj::Result<tj::JoinResult> RunByName(const std::string& name,
                                      const tj::JoinConfig& config,
                                      bool* known) {
   *known = true;
+  if (auto track = TrackJoinByName(name)) {
+    const auto [version, direction] = *track;
+    return config.pipeline.enabled
+               ? tj::TryRunPipelinedTrackJoin(r, s, config, version, direction)
+               : tj::TryRunTrackJoin(r, s, config, version, direction);
+  }
   if (name == "hj") return tj::TryRunHashJoin(r, s, config);
   if (name == "bj-r") {
     return tj::TryRunBroadcastJoin(r, s, config, tj::Direction::kRtoS);
@@ -477,34 +496,12 @@ tj::Result<tj::JoinResult> RunByName(const std::string& name,
   if (name == "bj-s") {
     return tj::TryRunBroadcastJoin(r, s, config, tj::Direction::kStoR);
   }
-  if (name == "2tj-r") {
-    return tj::TryRunTrackJoin(r, s, config, tj::TrackJoinVersion::k2Phase,
-                               tj::Direction::kRtoS);
-  }
-  if (name == "2tj-s") {
-    return tj::TryRunTrackJoin(r, s, config, tj::TrackJoinVersion::k2Phase,
-                               tj::Direction::kStoR);
-  }
-  if (name == "3tj") {
-    if (config.pipeline.enabled) {
-      return tj::TryRunPipelinedTrackJoin(r, s, config,
-                                          tj::TrackJoinVersion::k3Phase);
-    }
-    return tj::TryRunTrackJoin(r, s, config, tj::TrackJoinVersion::k3Phase);
-  }
-  if (name == "4tj") {
-    if (config.pipeline.enabled) {
-      return tj::TryRunPipelinedTrackJoin(r, s, config,
-                                          tj::TrackJoinVersion::k4Phase);
-    }
-    return tj::TryRunTrackJoin(r, s, config, tj::TrackJoinVersion::k4Phase);
-  }
   if (name == "rid-hj") return tj::TryRunRidHashJoin(r, s, config);
   if (name == "late-hj") {
     return tj::TryRunLateMaterializedHashJoin(r, s, config);
   }
   *known = false;
-  return tj::JoinResult{};
+  return tj::Status::InvalidArgument("unknown algorithm '" + name + "'");
 }
 
 }  // namespace
@@ -654,8 +651,7 @@ int main(int argc, char** argv) {
     bool known = false;
     // The scheduler audit only exists for the track joins — the baselines
     // never make per-key decisions.
-    const bool track_algo = algo == "2tj-r" || algo == "2tj-s" ||
-                            algo == "3tj" || algo == "4tj";
+    const bool track_algo = TrackJoinByName(algo).has_value();
     tj::ScheduleAuditLog audit;
     tj::JoinConfig run_config = config;
     if (!opt.explain.empty() && track_algo) {
